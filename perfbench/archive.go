@@ -225,10 +225,10 @@ func mustJSON(v any) []byte {
 // siteDigest fingerprints one site's ingest outputs: its catalog,
 // its classification and the validation confusion matrix.
 type siteDigest struct {
-	catalog  string
-	classes  string
-	accuracy float64
-	total    int
+	Catalog  string  `json:"catalog"`
+	Classes  string  `json:"classes"`
+	Accuracy float64 `json:"accuracy"`
+	Total    int     `json:"total"`
 }
 
 // digestSite hashes a site's catalog (CSV form) and results.
@@ -237,12 +237,12 @@ func digestSite(cat *catalog.Catalog, res []core.Result, val *core.Validation) (
 	if err := cat.WriteCSV(h); err != nil {
 		return siteDigest{}, err
 	}
-	d := siteDigest{catalog: hex.EncodeToString(h.Sum(nil)), accuracy: val.Accuracy(), total: val.Total}
+	d := siteDigest{Catalog: hex.EncodeToString(h.Sum(nil)), Accuracy: val.Accuracy(), Total: val.Total}
 	h.Reset()
 	for i := range res {
 		fmt.Fprintf(h, "%v %v %s\n", res[i].Device, res[i].Class, res[i].Evidence)
 	}
-	d.classes = hex.EncodeToString(h.Sum(nil))
+	d.Classes = hex.EncodeToString(h.Sum(nil))
 	return d, nil
 }
 
@@ -262,21 +262,15 @@ type fixture struct {
 }
 
 // setupArchive builds the seeded archive setupReps times and keeps the
-// last build; setup_s is the median of the timed part of each
-// repetition: the build, then after (for serve, roamd's start and
-// warm-up). Between repetitions, reset tears the previous one down
-// untimed. Each build is decoded into the reference before after runs,
-// untimed: the archive holds the same records every time, but in the
-// order the parallel capture delivered them, so its bytes can differ
-// from build to build.
-func setupArchive(r *run, after func(fx *fixture) error, reset func(fx *fixture)) (*fixture, error) {
+// last build; setup_s is the median build time. Each build is decoded
+// into the reference untimed: the archive holds the same records every
+// time, but in the order the parallel capture delivered them, so its
+// bytes can differ from build to build.
+func setupArchive(r *run) (*fixture, error) {
 	fx := &fixture{}
 	var setup sample
 	for rep := 0; rep < r.opt.setupReps; rep++ {
 		if rep > 0 {
-			if reset != nil {
-				reset(fx)
-			}
 			os.RemoveAll(fx.dir)
 		}
 		fx.dir = filepath.Join(r.opt.work, fmt.Sprintf("archive-%d", rep))
@@ -285,7 +279,7 @@ func setupArchive(r *run, after func(fx *fixture) error, reset func(fx *fixture)
 		if err != nil {
 			return nil, err
 		}
-		built := time.Since(t0)
+		setup = append(setup, time.Since(t0).Seconds())
 		if fx.sites, err = loadSites(fx.dir, fed.Hosts); err != nil {
 			return nil, err
 		}
@@ -296,13 +290,6 @@ func setupArchive(r *run, after func(fx *fixture) error, reset func(fx *fixture)
 		if fx.stats, err = statArchive(dirs); err != nil {
 			return nil, err
 		}
-		t1 := time.Now()
-		if after != nil {
-			if err := after(fx); err != nil {
-				return nil, err
-			}
-		}
-		setup = append(setup, (built + time.Since(t1)).Seconds())
 	}
 	r.set("setup_s", setup.median(), "s", fmt.Sprintf("median of %d set-ups", len(setup)))
 	return fx, nil

@@ -103,7 +103,8 @@ type ingestRef struct {
 
 // setupIngest builds the seeded archive setupReps times (setup_s is
 // the median) and keeps the first build's outputs as the reference.
-// Every later build must reproduce it.
+// Every later build must reproduce it, and every build the outputs
+// pinned for the seed.
 func setupIngest(r *run) (*ingestRef, error) {
 	var ref *ingestRef
 	var setup sample
@@ -138,12 +139,18 @@ func setupIngest(r *run) (*ingestRef, error) {
 			return nil, err
 		}
 		os.RemoveAll(dir)
+		if p, ok := r.pinned(); ok {
+			r.attempt(got.matchesPinned(p), "set-up build %d differs from the outputs pinned for seed %d", rep, r.opt.seed)
+		}
 		if ref == nil {
 			ref = got
 			continue
 		}
 		r.attempt(equalDigests(ref.digests, got.digests) && ref.stats.sameRecords(got.stats),
 			"set-up build %d differs from the first build of the same seed", rep)
+	}
+	if _, ok := r.pinned(); !ok {
+		r.sayUnpinned()
 	}
 	r.set("setup_s", setup.median(), "s", fmt.Sprintf("median of %d archive builds", len(setup)))
 	return ref, nil

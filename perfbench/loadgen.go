@@ -222,18 +222,26 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // ok reports a completed 2xx response.
 func (o *outcome) ok() bool { return o.sent && o.err == nil && o.status/100 == 2 }
 
-// latencies returns the step's latencies for op ("" for all), with
-// every unsent or failed request as +Inf: it missed any limit.
-func (s *stepResult) latencies(op string) sample {
+// latencies returns the step's latencies, with every unsent or failed
+// request as +Inf: it missed any limit.
+func (s *stepResult) latencies() sample {
 	var out sample
 	for i := range s.outs {
-		if op != "" && s.reqs[i].op != op {
-			continue
-		}
 		if s.outs[i].ok() {
 			out = append(out, s.outs[i].lat)
 		} else {
 			out = append(out, math.Inf(1))
+		}
+	}
+	return out
+}
+
+// completed returns the latencies of op's completed 2xx requests.
+func (s *stepResult) completed(op string) sample {
+	var out sample
+	for i := range s.outs {
+		if s.reqs[i].op == op && s.outs[i].ok() {
+			out = append(out, s.outs[i].lat)
 		}
 	}
 	return out
@@ -318,7 +326,7 @@ func verdict(rate float64, steps ...*stepResult) rung {
 	g := rung{rate: rate, growing: true}
 	var lat sample
 	for _, st := range steps {
-		lat = append(lat, st.latencies("")...)
+		lat = append(lat, st.latencies()...)
 		g.growing = g.growing && (st.unsent() > 0 || backlogGrowing(st.backlog, st.duration, st.rate))
 	}
 	g.p99 = lat.rank(0.99)

@@ -7,7 +7,7 @@
 // Usage (from the repository root; perfbench/run.sh builds and runs it):
 //
 //	perfbench --workload ingest|replay --seed N --seconds S --trace 0|1
-//	          [--scale 0.25] [--setup-reps 3] [--roamd PATH] [--work DIR]
+//	          [--roamd PATH] [--work DIR]
 //
 // Workloads share one seeded federation archive built in set-up:
 //
@@ -34,17 +34,18 @@ import (
 	"time"
 )
 
-// options are the command-line settings of one run.
+// options are the settings of one run. The command sets scale and
+// setupReps to benchScale and setupReps; only the self-tests shrink
+// them.
 type options struct {
-	workload string
-	seed     int64
-	seconds  float64
-	trace    bool
-	scale    float64
-	roamd    string
-	work     string
-	// setupReps is how many times set-up runs; setup_s is the median.
+	workload  string
+	seed      int64
+	seconds   float64
+	trace     bool
+	scale     float64
 	setupReps int
+	roamd     string
+	work      string
 }
 
 // metric is one reported value.
@@ -104,9 +105,15 @@ func (r *run) say(format string, args ...any) {
 	fmt.Fprintf(r.log, format+"\n", args...)
 }
 
-// defaultScale sizes the federation: a quarter of
-// DefaultFederationConfig's fleet and native populations.
-const defaultScale = 0.25
+// The benchmark's fixed size. They are part of its definition, not
+// settings: a later change is measured on the same inputs.
+const (
+	// benchScale sizes the federation: a quarter of
+	// DefaultFederationConfig's fleet and native populations.
+	benchScale = 0.25
+	// setupReps is how many times set-up runs; setup_s is the median.
+	setupReps = 3
+)
 
 // e2eMetrics are the end-to-end metrics every untraced run reports.
 // Each workload reads ops_per_s, p50_ms and p99_ms in its own unit of
@@ -135,23 +142,26 @@ func main() {
 // (no result is printed).
 func command(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("perfbench", flag.ContinueOnError)
-	var opt options
+	opt := options{scale: benchScale, setupReps: setupReps}
 	var trace int
-	fs.StringVar(&opt.workload, "workload", "", "ingest, replay or serve")
+	fs.StringVar(&opt.workload, "workload", "", "ingest or replay")
 	fs.Int64Var(&opt.seed, "seed", 1, "workload seed; the same seed gives the same inputs")
 	fs.Float64Var(&opt.seconds, "seconds", 20, "measured seconds")
 	fs.IntVar(&trace, "trace", 0, "1 for the traced per-layer run")
-	fs.Float64Var(&opt.scale, "scale", defaultScale, "population scale of the federation (1 = DefaultFederationConfig)")
-	fs.StringVar(&opt.roamd, "roamd", ".bench_build/bin/roamd", "roamd binary (serve workload)")
+	fs.StringVar(&opt.roamd, "roamd", ".bench_build/bin/roamd", "roamd binary (replay's traced run)")
 	fs.StringVar(&opt.work, "work", ".bench_build/work", "scratch directory for archives")
-	fs.IntVar(&opt.setupReps, "setup-reps", 3, "set-up repetitions; setup_s is their median")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	opt.trace = trace != 0
+	return execute(opt, stdout)
+}
+
+// execute runs one workload with opt and returns command's exit code.
+func execute(opt options, stdout io.Writer) int {
 	wl := workloads[opt.workload]
-	if wl == nil || opt.seconds <= 0 || opt.scale <= 0 || opt.setupReps < 1 {
-		fmt.Fprintf(os.Stderr, "perfbench: need --workload (%s), --seconds > 0, --scale > 0\n", workloadNames())
+	if wl == nil || opt.seconds <= 0 {
+		fmt.Fprintf(os.Stderr, "perfbench: need --workload (%s) and --seconds > 0\n", workloadNames())
 		return 2
 	}
 	work, err := workDir(opt.work, "run-")

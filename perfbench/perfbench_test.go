@@ -3,21 +3,26 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
-// tinyArgs runs a workload at a tiny federation scale for a second.
-func tinyArgs(t *testing.T, workload string, trace int) []string {
-	return []string{"--workload", workload, "--seed", "3", "--seconds", "1",
-		"--trace", strconv.Itoa(trace), "--scale", "0.02", "--setup-reps", "1",
-		"--work", t.TempDir(), "--roamd", roamdBinary(t)}
+// update rewrites pinned.json from the program's current outputs.
+var update = flag.Bool("update", false, "rewrite pinned.json")
+
+// tinyOptions runs a workload at a tiny federation scale, with one
+// set-up, for a second.
+func tinyOptions(t *testing.T, workload string, trace bool) options {
+	return options{workload: workload, seed: 3, seconds: 1, trace: trace,
+		scale: 0.02, setupReps: 1, work: t.TempDir(), roamd: roamdBinary(t)}
 }
 
 var builtRoamd string
@@ -49,11 +54,11 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// runTiny runs the command and decodes its result line.
-func runTiny(t *testing.T, args []string) (int, result, string) {
+// runTiny runs a workload and decodes its result line.
+func runTiny(t *testing.T, opt options) (int, result, string) {
 	t.Helper()
 	var out bytes.Buffer
-	code := command(args, &out)
+	code := execute(opt, &out)
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	var res result
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &res); err != nil {
@@ -71,24 +76,24 @@ func TestWorkloadsTiny(t *testing.T) {
 		t.Skip("builds roamd and runs every workload")
 	}
 	for _, wl := range []string{"ingest", "replay"} {
-		for _, trace := range []int{0, 1} {
-			code, res, out := runTiny(t, tinyArgs(t, wl, trace))
+		for _, trace := range []bool{false, true} {
+			code, res, out := runTiny(t, tinyOptions(t, wl, trace))
 			if code != 0 || !res.Correct || res.Failed != 0 || res.Attempted == 0 {
-				t.Fatalf("%s trace=%d: exit %d, result %+v\n%s", wl, trace, code, res, out)
+				t.Fatalf("%s trace=%v: exit %d, result %+v\n%s", wl, trace, code, res, out)
 			}
 			want := e2eMetrics
-			if trace == 1 {
+			if trace {
 				want = layerMetrics()
 			}
 			if len(res.Metrics) != len(want) {
-				t.Errorf("%s trace=%d: %d metrics, want %d", wl, trace, len(res.Metrics), len(want))
+				t.Errorf("%s trace=%v: %d metrics, want %d", wl, trace, len(res.Metrics), len(want))
 			}
 			for _, m := range want {
 				got, ok := res.Metrics[m.name]
 				if !ok || got.Unit != m.unit || math.IsNaN(got.Value) || math.IsInf(got.Value, 0) {
-					t.Errorf("%s trace=%d: metric %s = %+v, want a finite value in %s", wl, trace, m.name, got, m.unit)
+					t.Errorf("%s trace=%v: metric %s = %+v, want a finite value in %s", wl, trace, m.name, got, m.unit)
 				}
-				if trace == 0 && got.Value <= 0 {
+				if !trace && got.Value <= 0 {
 					t.Errorf("%s: end-to-end metric %s = %v, want > 0", wl, m.name, got.Value)
 				}
 			}
@@ -101,7 +106,7 @@ func TestWorkloadsTiny(t *testing.T) {
 func TestReplayCheckCatchesWrongView(t *testing.T) {
 	r := &run{opt: options{seed: 5, scale: 0.02, setupReps: 1, work: t.TempDir()},
 		log: &bytes.Buffer{}, workers: 2, res: result{Metrics: map[string]metric{}}}
-	fx, err := setupArchive(r, nil, nil)
+	fx, err := setupArchive(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +140,116 @@ func TestReplayCheckCatchesWrongView(t *testing.T) {
 	replayPass(r, qs[:1], nil)
 	if r.res.Failed != before+1 {
 		t.Fatalf("corrupted segment: %d failed, want %d", r.res.Failed, before+1)
+	}
+}
+
+// TestPinnedReferences checks that seed 1 at the benchmark's scale
+// reproduces pinned.json; with -update it rewrites the file for every
+// pinned seed.
+func TestPinnedReferences(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the benchmark's archive")
+	}
+	seeds := []int64{1}
+	if *update {
+		seeds = pinnedSeeds
+	}
+	set := pinnedSet{Scale: benchScale, Seeds: map[string]pinnedSeed{}}
+	for _, seed := range seeds {
+		r := &run{opt: options{seed: seed, scale: benchScale, setupReps: 1, work: t.TempDir()},
+			log: &bytes.Buffer{}, workers: 2, res: result{Metrics: map[string]metric{}}}
+		ref, err := setupIngest(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx, err := setupArchive(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pinnedSeed{Records: ref.stats.records, Segments: ref.stats.segments,
+			Sites: ref.digests, Views: viewsDigest(r, fx.sites, buildQueries(r, fx.sites))}
+		if !ref.stats.sameRecords(fx.stats) {
+			t.Fatalf("seed %d: two builds differ: %+v and %+v", seed, ref.stats, fx.stats)
+		}
+		set.Seeds[strconv.FormatInt(seed, 10)] = got
+		if *update {
+			continue
+		}
+		if want, ok := r.pinned(); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: outputs %+v, pinned %+v (rerun with -update only if the outputs are meant to change)", seed, got, want)
+		}
+		if r.res.Failed != 0 {
+			t.Errorf("seed %d: %d of %d set-up checks failed", seed, r.res.Failed, r.res.Attempted)
+		}
+	}
+	if *update {
+		b, err := json.MarshalIndent(set, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile("pinned.json", append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPinnedMismatchFails pins wrong outputs for the tiny runs' seed:
+// both workloads must count the mismatch as a failure and exit 1.
+func TestPinnedMismatchFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every workload")
+	}
+	saved := pinnedRefs
+	defer func() { pinnedRefs = saved }()
+	wrong := pinnedSeed{Records: 1, Segments: 1, Sites: []siteDigest{{Catalog: "x"}}, Views: "x"}
+	pinnedRefs = pinnedSet{Scale: 0.02, Seeds: map[string]pinnedSeed{"3": wrong}}
+	for _, wl := range []string{"ingest", "replay"} {
+		code, res, out := runTiny(t, tinyOptions(t, wl, false))
+		if code != 1 || res.Correct || res.Failed == 0 {
+			t.Errorf("%s with a wrong pinned reference: exit %d, result %+v\n%s", wl, code, res, out)
+		}
+	}
+}
+
+// TestReferenceStepCountsFailures: a failed and an abandoned request
+// of the reference step are failed operations, and the route
+// percentiles stay finite, over the completed requests only.
+func TestReferenceStepCountsFailures(t *testing.T) {
+	r := &run{log: &bytes.Buffer{}, res: result{Metrics: map[string]metric{}}}
+	st := &stepResult{rate: 70, duration: time.Second}
+	for _, c := range []struct {
+		op string
+		o  outcome
+	}{
+		{routeOps[0], outcome{sent: true, status: 200, lat: 4}},
+		{routeOps[1], outcome{sent: true, status: 500, lat: 9}},
+		{routeOps[0], outcome{sent: false}},
+		{routeOps[0], outcome{sent: true, status: 200, lat: 6}},
+	} {
+		st.reqs = append(st.reqs, request{op: c.op, path: "/v1/x"})
+		st.outs = append(st.outs, c.o)
+	}
+	tally(r, st, true)
+	if r.res.Attempted != 4 || r.res.Failed != 2 {
+		t.Fatalf("reference step: %d failed of %d, want 2 of 4", r.res.Failed, r.res.Attempted)
+	}
+	l := newLayers(r)
+	reportReference(r, l, st, 2)
+	l.flush()
+	if _, err := json.Marshal(r.res); err != nil {
+		t.Fatalf("result does not encode: %v", err)
+	}
+	if got := r.res.Metrics["serve.route_p99_ms."+routeOps[0]].Value; got != 6 {
+		t.Errorf("%s p99 = %v, want 6 (the completed requests' slowest)", routeOps[0], got)
+	}
+	if got := r.res.Metrics["serve.route_p99_ms."+routeOps[1]].Value; got != 0 {
+		t.Errorf("%s p99 = %v, want 0 (no request completed)", routeOps[1], got)
+	}
+
+	ladder := &run{log: &bytes.Buffer{}, res: result{Metrics: map[string]metric{}}}
+	tally(ladder, st, false)
+	if ladder.res.Attempted != 3 || ladder.res.Failed != 1 {
+		t.Errorf("ladder step: %d failed of %d, want 1 of 3 (an abandoned request is the rung's verdict)", ladder.res.Failed, ladder.res.Attempted)
 	}
 }
 

@@ -179,11 +179,12 @@ func replayPass(r *run, qs []*query, pt *passTrace) sample {
 
 // runReplay is the replay workload.
 func runReplay(r *run) error {
-	fx, err := setupArchive(r, nil, nil)
+	fx, err := setupArchive(r)
 	if err != nil {
 		return err
 	}
 	qs := buildQueries(r, fx.sites)
+	checkPinnedViews(r, fx, qs)
 	r.say("query set: %d queries over %d sites (%d full, %d one-day, %d exact-device per site)",
 		len(qs), len(fx.sites), 1, fx.sites[0].days, replayDevices)
 	var l *layers

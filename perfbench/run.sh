@@ -2,7 +2,7 @@
 # Builds roamd and the benchmark from this checkout's sources, then runs
 # one workload:
 #
-#   bash perfbench/run.sh --workload ingest|replay|serve --seed N --seconds S --trace 0|1
+#   bash perfbench/run.sh --workload ingest|replay --seed N --seconds S --trace 0|1
 #
 # Run it from the repository root. Every build and run artefact (Go
 # build cache, binaries, archives, temp files) stays under .bench_build/.

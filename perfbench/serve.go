@@ -141,18 +141,21 @@ func (e *serveEnv) warm() {
 	for i := range reqs {
 		reqs[i] = p.next()
 	}
-	e.tally(runStep(e.client, e.d.base, reqs, e.conns, 0, 0, time.Hour))
+	tally(e.r, runStep(e.client, e.d.base, reqs, e.conns, 0, 0, time.Hour), true)
 }
 
-// tally counts every sent request of a step; a non-2xx response or a
-// transport error is a failure.
-func (e *serveEnv) tally(st *stepResult) {
+// tally counts a step's requests as attempts: a non-2xx response or a
+// transport error is a failure. When mustSend is set (warm-up and the
+// reference step), so is a request abandoned unsent at the step's hard
+// stop; a ladder rung that abandons requests has failed its rate,
+// which is its verdict, not a failed operation.
+func tally(r *run, st *stepResult, mustSend bool) {
 	for i := range st.outs {
 		o := &st.outs[i]
-		if !o.sent {
+		if !o.sent && !mustSend {
 			continue
 		}
-		e.r.attempt(o.ok(), "GET %s: status %d err %v", st.reqs[i].path, o.status, o.err)
+		r.attempt(o.ok(), "GET %s: sent %v, status %d, err %v", st.reqs[i].path, o.sent, o.status, o.err)
 	}
 }
 
@@ -183,10 +186,12 @@ func (e *serveEnv) check(st *stepResult) {
 	}
 }
 
-// step runs one fixed-rate step, tallying and checking it.
-func (e *serveEnv) step(rate float64, dur time.Duration, checkFirst bool) *stepResult {
-	st := runStep(e.client, e.d.base, e.picker().schedule(rate, dur, checkFirst), e.conns, rate, dur, dur+drainGrace)
-	e.tally(st)
+// step runs one fixed-rate step, tallying and checking it. The
+// reference step checks the first response of each request type and
+// must send every request.
+func (e *serveEnv) step(rate float64, dur time.Duration, reference bool) *stepResult {
+	st := runStep(e.client, e.d.base, e.picker().schedule(rate, dur, reference), e.conns, rate, dur, dur+drainGrace)
+	tally(e.r, st, reference)
 	e.check(st)
 	return st
 }
@@ -238,16 +243,7 @@ func measureServing(r *run, fx *fixture, l *layers) error {
 	e.warm()
 
 	ref := e.step(refRate, time.Duration(r.opt.seconds*refShare*float64(time.Second)), true)
-	lat, late := ref.latencies(""), ref.lateness()
-	r.say("serving at %g req/s over %d connections: %d requests, p50 %.3f ms, p99 %.3f ms, lateness p99 %.3f ms, backlog max %d",
-		refRate, e.conns, len(lat), lat.rank(0.5), lat.rank(0.99), late.rank(0.99), ref.backlogMax())
-	for _, op := range routeOps {
-		lat := ref.latencies(op)
-		l.set("serve.route_p50_ms."+op, lat.rank(0.5))
-		l.set("serve.route_p99_ms."+op, lat.rank(0.99))
-	}
-	l.set("loadgen.late_p99_ms", late.rank(0.99))
-	l.set("loadgen.backlog_max", float64(ref.backlogMax()))
+	reportReference(r, l, ref, e.conns)
 
 	rungs := e.climb(ref)
 	for _, g := range rungs {
@@ -275,6 +271,24 @@ func measureServing(r *run, fx *fixture, l *layers) error {
 		l.set("serve.server_p99_ms", ms(p99))
 	}
 	return nil
+}
+
+// reportReference reports the reference step's route percentiles and
+// the generator's lateness and backlog. The route percentiles are over
+// completed 2xx requests, each printed with its count; the requests
+// that failed are already counted as failed operations.
+func reportReference(r *run, l *layers, ref *stepResult, conns int) {
+	lat, late := ref.latencies(), ref.lateness()
+	r.say("serving at %g req/s over %d connections: %d requests, p50 %.3f ms, p99 %.3f ms, lateness p99 %.3f ms (n=%d), backlog max %d",
+		ref.rate, conns, len(lat), lat.rank(0.5), lat.rank(0.99), late.rank(0.99), len(late), ref.backlogMax())
+	for _, op := range routeOps {
+		lat := ref.completed(op)
+		r.say("route %-14s n=%d", op, len(lat))
+		l.set("serve.route_p50_ms."+op, lat.rank(0.5))
+		l.set("serve.route_p99_ms."+op, lat.rank(0.99))
+	}
+	l.set("loadgen.late_p99_ms", late.rank(0.99))
+	l.set("loadgen.backlog_max", float64(ref.backlogMax()))
 }
 
 // scrapeGauges reads the unlabeled numeric series of roamd's /metrics.
